@@ -256,7 +256,7 @@ class OnDemandStrategy : public PlanExecStrategy {
                                  BoundTerm::Bind(*term, schema, UdfRegistry::Global()));
         bound.push_back(std::move(b));
       }
-      std::vector<HyperLogLog> sketches(bound.size(), HyperLogLog(14));
+      std::vector<HyperLogLog> sketches(bound.size(), HyperLogLog(kSigmaHllPrecision));
       for (size_t row = 0; row < table->num_rows(); ++row) {
         for (size_t t = 0; t < bound.size(); ++t) {
           sketches[t].AddHash(bound[t].Eval(*table, row).Hash());

@@ -21,7 +21,7 @@ namespace monsoon {
 /// across runs and thread counts.
 ///
 /// Bit usage: the word index reads bits [21, 21+log2(words)) and the two
-/// probe bits read bits [0,6) and [6,12). The parallel join's partition
+/// probe bits read bits [0,6) and [6,12). The hash join's partition
 /// selector owns the top bits ([58,64)) and the per-partition multimap
 /// buckets by modulo; overlap with those would only cost independence,
 /// not correctness.

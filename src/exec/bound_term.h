@@ -26,6 +26,12 @@ class BoundTerm {
 
   ValueType result_type() const { return fn_->result_type; }
 
+  /// The term's identity, independent of any query's term numbering: two
+  /// bound terms with the same function and argument columns produce the
+  /// same values over the same table (the UDF column cache's key).
+  const UdfFunction* function() const { return fn_; }
+  const std::vector<size_t>& arg_cols() const { return arg_cols_; }
+
  private:
   const UdfFunction* fn_ = nullptr;
   std::vector<size_t> arg_cols_;

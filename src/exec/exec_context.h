@@ -26,14 +26,14 @@ namespace monsoon {
 ///
 /// The context also carries the query's parallel runtime (snapshotted from
 /// parallel::DefaultConfig() at construction): a pool handle and morsel
-/// size the executor's morsel-driven operators use. The counters above are
-/// NOT thread-safe — parallel operators accumulate work in morsel-local
-/// tallies and charge the context once at each merge barrier, which keeps
-/// the recorded totals identical to the serial path (budget trips are
-/// detected at barrier granularity instead of per row; see DESIGN.md).
-/// They are obs::LocalCounter (single-owner, plain integer adds) rather
-/// than registry metrics for exactly that reason: the per-row ChargeWork
-/// budget check must stay a plain add + compare.
+/// size the executor's passes use. The counters above are NOT thread-safe
+/// — a pass's ranges tally work range-locally, each comparing its tally
+/// per unit against the budget left when it started, and the pass charges
+/// the context once at its end. Ranges run inline therefore trip on the
+/// same work unit as per-unit charging; concurrent ranges may trip later
+/// (see exec/pass.h). The counters are obs::LocalCounter (single-owner,
+/// plain integer adds) rather than registry metrics for exactly that
+/// reason: the budget check must stay a plain add + compare.
 class ExecContext {
  public:
   ExecContext() = default;
@@ -83,19 +83,20 @@ class ExecContext {
   double stats_collect_seconds() const { return stats_collect_seconds_.Value(); }
   void AddStatsCollectSeconds(double s) { stats_collect_seconds_.Add(s); }
 
-  /// Pool for morsel-driven operators; nullptr = run serially inline.
+  /// Pool the executor's passes run their morsels on; nullptr = each
+  /// unsharded pass runs as one range on the calling thread.
   parallel::ThreadPool* pool() const { return pool_; }
   size_t morsel_size() const { return morsel_size_; }
 
-  /// Overrides the snapshotted runtime (tests pin serial/parallel modes;
-  /// pool may be nullptr to force the serial path).
+  /// Overrides the snapshotted runtime (tests pin thread counts; pool may
+  /// be nullptr to run each unsharded pass as one inline range).
   void SetParallel(parallel::ThreadPool* pool, size_t morsel_size) {
     pool_ = pool;
     morsel_size_ = morsel_size == 0 ? 1 : morsel_size;
   }
 
-  /// Hash-range shards per table (see shard/shard.h). 1 = unsharded, the
-  /// exact pre-shard code path. Snapshotted from the process default
+  /// Hash-range shards per table (see shard/shard.h). 1 = unsharded: passes
+  /// range over morsels instead of shards. Snapshotted from the process default
   /// (MONSOON_SHARDS / --shards) at construction; tests pin shard counts
   /// with the setter.
   size_t num_shards() const { return num_shards_; }
@@ -126,7 +127,7 @@ class ExecContext {
   }
 
   /// Work units still chargeable before the budget trips (max() when
-  /// unlimited). Parallel operators bound their shared tallies with this.
+  /// unlimited). A pass's range tallies are bounded by this.
   uint64_t RemainingWork() const {
     if (work_budget_ == 0) return ~uint64_t{0};
     uint64_t used = work_units_.Value();
@@ -142,8 +143,8 @@ class ExecContext {
   }
 
   /// OK while the query may keep running; Cancelled / DeadlineExceeded
-  /// once the token trips. Serial operator loops call this once per
-  /// morsel-sized batch of rows.
+  /// once the token trips. Pipeline::Run calls this once per batch; loops
+  /// that outlast a batch (the cross product's left rows) once per row.
   Status CheckCancelled() {
     if (cancel_token_ == nullptr) return Status::OK();
     return cancel_token_->Check();

@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <unordered_map>
@@ -10,6 +9,7 @@
 #include "common/hash.h"
 #include "exec/batch.h"
 #include "exec/bloom.h"
+#include "exec/pass.h"
 #include "exec/pipeline.h"
 #include "exec/selection.h"
 #include "fault/injector.h"
@@ -111,12 +111,6 @@ void EmitIfPasses(Table* out, const Table& lt, size_t li, const Table& rt,
   }
 }
 
-/// Morsel-driven operators run when a pool is attached and the input is
-/// big enough that splitting pays for the merge.
-bool WorthParallel(const ExecContext* ctx, size_t rows) {
-  return ctx->pool() != nullptr && rows > ctx->morsel_size();
-}
-
 /// A cached UDF column only pays off when the expression can be scanned
 /// again — i.e. its exact physical table is registered in the store (base
 /// relations and previously materialized expressions that later plan
@@ -147,42 +141,87 @@ StatusOr<CachedUdfColumnPtr> TolerateCacheFault(
   return CachedUdfColumnPtr();
 }
 
-/// Resolves the shard layout a pass iterates for an input of `rows` rows:
-/// the materialized expression's own hash-range map when it matches both
-/// the table and the configured shard count, else an even contiguous
-/// split. The per-shard accounting invariant holds for ANY contiguous
-/// decomposition (DESIGN.md §15), so the fallback is always correct — it
-/// only loses hash-range placement.
-shard::ShardMapPtr ResolveShardMap(const shard::ShardMapPtr& hint, size_t rows,
-                                   size_t num_shards) {
-  if (hint != nullptr && hint->num_shards() == num_shards &&
-      hint->total_rows() == rows) {
-    return hint;
+/// One evaluate-once column of `bound` over `src`: the whole table, or
+/// only the rows of `shard` (stored from slot 0, see
+/// UdfColumnCache::GetOrBuildShard). Null when a transient fill fault
+/// dropped it.
+StatusOr<CachedUdfColumnPtr> CachedColumn(UdfColumnCache* cache,
+                                          const MaterializedExpr& src,
+                                          const BoundTerm& bound,
+                                          const Range* shard,
+                                          ExecContext* ctx) {
+  if (shard == nullptr) {
+    return TolerateCacheFault(
+        ctx, cache->GetOrBuild(src.sig, bound, src.table, ctx->pool(),
+                               ctx->morsel_size(), ctx->cancel_token()));
   }
-  return shard::EvenMap(rows, num_shards);
+  return TolerateCacheFault(
+      ctx, cache->GetOrBuildShard(src.sig, bound, src.table, shard->begin,
+                                  shard->end, ctx->cancel_token()));
 }
 
-/// Shard map describing the output a sharded pass merged: offsets are the
-/// cumulative per-shard output sizes, so downstream sharded passes split
-/// the intermediate along the boundaries its producer emitted (a function
-/// of shard contents only — independent of thread count and recovery).
-shard::ShardMapPtr MapFromShardOutputs(const std::vector<Table>& locals) {
-  auto map = std::make_shared<shard::ShardMap>();
-  map->offsets.reserve(locals.size() + 1);
-  map->offsets.push_back(0);
-  for (const Table& local : locals) {
-    map->offsets.push_back(map->offsets.back() + local.num_rows());
+/// Attaches evaluate-once columns to leaf filters over `src`: whole-table
+/// columns when `shard` is null, else that shard's. Join-kind filters need
+/// both sides cached to skip per-row evaluation.
+Status AttachColumns(UdfColumnCache* cache, const MaterializedExpr& src,
+                     const Range* shard, ExecContext* ctx,
+                     std::vector<BoundResidual>* filters) {
+  for (BoundResidual& f : *filters) {
+    MONSOON_ASSIGN_OR_RETURN(f.left_col,
+                             CachedColumn(cache, src, f.left, shard, ctx));
+    if (f.kind != BoundResidual::Kind::kSelectionEq && f.left_col != nullptr) {
+      MONSOON_ASSIGN_OR_RETURN(f.right_col,
+                               CachedColumn(cache, src, f.right, shard, ctx));
+      if (f.right_col == nullptr) f.left_col = nullptr;
+    }
+    f.col_base = shard != nullptr ? shard->begin : 0;
   }
-  return map;
+  return Status::OK();
+}
+
+/// A join's emitting pass over the ranges of `outer` (the probe side of a
+/// hash join, the left input of a cross product): each range runs
+/// `emit(range, local_table, work_tally)` into a fresh local table that
+/// commits only on success, the work tallies are charged at the end, and
+/// the committed tables concatenate into `out` in range order. Returns the
+/// output's shard map (null when unsharded).
+template <typename Emit>
+StatusOr<shard::ShardMapPtr> RunEmitPass(ExecContext* ctx,
+                                         const MaterializedExpr& outer,
+                                         const Schema& schema, Table* out,
+                                         const Emit& emit) {
+  PassWork work(*ctx);
+  const PassRanges ranges(*ctx, outer.shards, outer.table->num_rows(),
+                          ctx->morsel_size());
+  std::vector<Table> locals(ranges.size(), Table(schema));
+  Status run = ranges.Run(ctx, [&](const Range& r) -> Status {
+    Table local(schema);
+    RangeTally work_tally = work.StartRange();
+    Status emitted = emit(r, &local, &work_tally);
+    MONSOON_RETURN_IF_ERROR(work.Finish(work_tally, std::move(emitted)));
+    locals[r.index] = std::move(local);
+    return Status::OK();
+  });
+  Status charged = work.Charge(ctx);
+  MONSOON_RETURN_IF_ERROR(run);
+  MONSOON_RETURN_IF_ERROR(charged);
+  return ranges.Concat(&locals, out);
 }
 
 constexpr uint64_t kJoinHashSeed = 0xabcdef0123456789ULL;
-/// Partition count for the parallel hash join's partitioned build. Fixed
-/// (not thread-derived) so the output is bit-identical across thread
-/// counts; selected from the hash's top bits, which the per-partition
-/// unordered_multimap (bottom-bit based) does not reuse.
+/// Partition count of the hash join's build index once the build side
+/// outgrows one morsel (a build that fits in one uses a single partition).
+/// A function of build size only, never of the thread count, so the index
+/// — and the probe's candidate order — is the same in every
+/// configuration. Selected from the hash's top bits, which the
+/// per-partition unordered_multimap (bottom-bit based) does not reuse.
 constexpr size_t kBuildPartitions = 64;
 constexpr int kBuildPartitionShift = 58;  // 64 - log2(kBuildPartitions)
+
+size_t PartitionOf(uint64_t hash, size_t num_partitions) {
+  return static_cast<size_t>(hash >> kBuildPartitionShift) &
+         (num_partitions - 1);
+}
 
 // ---------------------------------------------------------------------------
 // Batch pipeline operators (DESIGN.md §12). batch_size == 1 drives the same
@@ -300,7 +339,7 @@ void ApplyResidualBatch(const BoundResidual& f, Batch* batch) {
   }
 }
 
-/// Stateless filter stage, shared across morsels. Fires the per-row fault
+/// Stateless filter stage, shared across ranges. Fires the per-row fault
 /// point over the whole range first (firing is a pure function of the
 /// coordinate, so hoisting it out of the filter loops leaves fault
 /// behavior identical to the row path), then refines the selection one
@@ -328,7 +367,7 @@ class FilterOperator : public PipelineOperator {
 
 /// Sink stage: gathers the batch's surviving rows into a Table — the whole
 /// range column-wise when no filter ran, a selection-vector gather
-/// otherwise. One per morsel (the destination is morsel-local).
+/// otherwise. One per range (the destination is range-local).
 class GatherOperator : public PipelineOperator {
  public:
   explicit GatherOperator(Table* dst) : dst_(dst) {}
@@ -428,8 +467,8 @@ void CombineKeyHashes(const FlatView& v, size_t begin, size_t end, size_t base,
 
 /// Build-side key stage of the hash join: fires the join_build fault point
 /// for the batch, fills uncached key columns, and writes each row's
-/// composite key hash. Shared across morsels — morsels write disjoint row
-/// ranges of the same whole-side arrays.
+/// composite key hash. Shared across ranges, which write disjoint slots
+/// of the same whole-side arrays.
 class HashBuildOperator : public PipelineOperator {
  public:
   HashBuildOperator(const std::vector<const BoundTerm*>* terms,
@@ -471,37 +510,16 @@ class HashBuildOperator : public PipelineOperator {
   std::vector<uint64_t>* hashes_;
 };
 
-/// Serial build sink: appends (hash, row) pairs in row order, preserving
-/// the row path's multimap insertion order — and therefore the candidate
-/// enumeration order the probe observes.
-class IndexInsertOperator : public PipelineOperator {
- public:
-  IndexInsertOperator(const std::vector<uint64_t>* hashes,
-                      std::unordered_multimap<uint64_t, size_t>* index)
-      : hashes_(hashes), index_(index) {}
-  const char* name() const override { return "hash-insert"; }
-
-  Status ProcessBatch(Batch* batch, ExecContext* /*ctx*/) override {
-    for (size_t row = batch->begin; row < batch->end; ++row) {
-      index_->emplace((*hashes_)[row], row);
-    }
-    return Status::OK();
-  }
-
- private:
-  const std::vector<uint64_t>* hashes_;
-  std::unordered_multimap<uint64_t, size_t>* index_;
-};
-
 /// Probe stage of the hash join. Per batch: fills uncached probe-key
 /// columns, computes composite hashes column-wise, probes per row (fault
 /// point, work charge, Bloom pre-check, per-candidate charge and
 /// hash-confirm), and emits matched pairs column-wise — straight into the
 /// output, or through a residual staging table whose survivors gather in.
-/// The per-row charge sequence is exactly the row path's, so budget trips
-/// land on the same work unit; the Bloom filter stores exactly the hashes
-/// in the index, so a reject only skips an equal_range that would have
-/// found nothing — zero candidates charged either way.
+/// Every probe row and hash candidate counts one unit on the range's work
+/// tally, in row order, so an inline run trips on the same unit at every
+/// batch size; the Bloom filter stores exactly the hashes in the index, so
+/// a reject only skips an equal_range that would have found nothing — zero
+/// candidates charged either way.
 class HashProbeOperator : public PipelineOperator {
  public:
   struct Spec {
@@ -512,8 +530,6 @@ class HashProbeOperator : public PipelineOperator {
     const std::vector<const BoundTerm*>* probe_terms = nullptr;
     const std::vector<FlatView>* build_views = nullptr;
     const std::vector<FlatView>* probe_views = nullptr;  // cached keys only
-    // Exactly one of the two index shapes is set (serial / partitioned).
-    const std::unordered_multimap<uint64_t, size_t>* index = nullptr;
     const std::vector<std::unordered_multimap<uint64_t, size_t>>* partitions =
         nullptr;
     const JoinBloomFilter* bloom = nullptr;  // null when batching is off
@@ -521,18 +537,16 @@ class HashProbeOperator : public PipelineOperator {
     const Schema* out_schema = nullptr;
   };
 
-  /// `work_tally` null = serial mode (every unit charged through ctx, so
-  /// the budget trips mid-probe exactly as the row path does); non-null =
-  /// parallel mode (units accumulate morsel-locally, the morsel loop
-  /// flushes to the shared tally at its barrier).
-  HashProbeOperator(const Spec& spec, Table* dst, uint64_t* work_tally)
+  /// One per range: `dst` and `work_tally` are the range's local output
+  /// and work tally.
+  HashProbeOperator(const Spec& spec, Table* dst, RangeTally* work_tally)
       : s_(spec),
         dst_(dst),
         work_tally_(work_tally),
         candidates_(*s_.out_schema) {}
   const char* name() const override { return "hash-probe"; }
 
-  Status ProcessBatch(Batch* batch, ExecContext* ctx) override {
+  Status ProcessBatch(Batch* batch, ExecContext* /*ctx*/) override {
     static obs::Counter* const bloom_checks_metric =
         obs::Registry::Global().GetCounter("exec.bloom_checks");
     static obs::Counter* const bloom_rejects_metric =
@@ -574,11 +588,7 @@ class HashProbeOperator : public PipelineOperator {
     for (size_t i = 0; i < n; ++i) {
       const size_t row = begin + i;
       MONSOON_FAULT_POINT("exec.udf_eval.join_probe", row);
-      if (work_tally_ != nullptr) {
-        ++*work_tally_;
-      } else {
-        MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(1));
-      }
+      if (!work_tally_->Add()) return BudgetExceeded();
       const uint64_t h = hashes_[i];
       if (s_.bloom != nullptr) {
         ++bloom_checked;
@@ -587,16 +597,11 @@ class HashProbeOperator : public PipelineOperator {
           continue;
         }
       }
-      const auto& index = s_.partitions != nullptr
-                              ? (*s_.partitions)[h >> kBuildPartitionShift]
-                              : *s_.index;
+      const auto& index =
+          (*s_.partitions)[PartitionOf(h, s_.partitions->size())];
       auto [it, last] = index.equal_range(h);
       for (; it != last; ++it) {
-        if (work_tally_ != nullptr) {
-          ++*work_tally_;
-        } else {
-          MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(1));
-        }
+        if (!work_tally_->Add()) return BudgetExceeded();
         const size_t build_row = it->second;
         bool match = true;
         for (size_t k = 0; k < nkeys; ++k) {
@@ -623,9 +628,9 @@ class HashProbeOperator : public PipelineOperator {
         s_.build_left ? match_build_.data() : match_probe_.data();
     const uint32_t* rrows =
         s_.build_left ? match_probe_.data() : match_build_.data();
-    // nmatch > 0 implies the probe loop above ran and charged every probe
-    // row and index hit (via the morsel tally or ChargeWork); the analyzer
-    // cannot see that the zero-iteration path has nmatch == 0.
+    // nmatch > 0 implies the probe loop above ran and tallied every probe
+    // row and index hit; the analyzer cannot see that the zero-iteration
+    // path has nmatch == 0.
     if (s_.residual->empty()) {
       dst_->AppendConcatSelected(*s_.lt, lrows, *s_.rt, rrows,  // NOLINT(monsoon-analyze-accounting)
                                  nmatch);
@@ -660,7 +665,7 @@ class HashProbeOperator : public PipelineOperator {
  private:
   Spec s_;
   Table* dst_;
-  uint64_t* work_tally_;
+  RangeTally* work_tally_;
   std::vector<FlatColumn> probe_flat_;       // uncached batch-local keys
   std::vector<FlatView> probe_flat_views_;
   std::vector<uint64_t> hashes_;
@@ -671,10 +676,6 @@ class HashProbeOperator : public PipelineOperator {
 };
 
 }  // namespace
-
-Executor::Executor(const QuerySpec& query, const UdfRegistry* registry,
-                   Options options)
-    : query_(query), registry_(registry), options_(options) {}
 
 StatusOr<ExecResult> Executor::Execute(const PlanNode::Ptr& plan,
                                        MaterializedStore* store,
@@ -782,135 +783,56 @@ StatusOr<MaterializedExpr> Executor::ExecuteLeaf(const PlanNode::Ptr& node,
     return *source;
   }
 
-  const bool sharded = ctx->num_shards() > 1;
   std::vector<BoundResidual> filters;
   filters.reserve(node->pred_ids().size());
-  // (left, right-or--1) term ids per filter: the sharded path looks up
-  // shard-scoped cached columns inside each shard body.
-  std::vector<std::pair<int, int>> filter_terms;
-  filter_terms.reserve(node->pred_ids().size());
   for (int pred_id : node->pred_ids()) {
-    const Predicate& pred = query_.predicate(pred_id);
-    MONSOON_ASSIGN_OR_RETURN(BoundResidual residual,
-                             BindResidual(pred, source->schema, *registry_));
-    filter_terms.emplace_back(
-        pred.left.term_id,
-        pred.kind == Predicate::Kind::kSelection ? -1 : pred.right->term_id);
-    // Leaf residuals evaluate over the source expression itself, so the
-    // store's evaluate-once columns apply positionally. Join-kind filters
-    // need both sides cached to skip per-row evaluation. Sharded scans
-    // bind their columns per shard instead (inside the supervised body,
-    // so a killed attempt's partial fills are discarded with it).
-    UdfColumnCache* cache = store->udf_cache();
-    if (!sharded && cache->enabled()) {
-      MONSOON_ASSIGN_OR_RETURN(
-          residual.left_col,
-          TolerateCacheFault(
-              ctx, cache->GetOrBuild(source->sig, pred.left.term_id,
-                                     residual.left, source->table, ctx->pool(),
-                                     ctx->morsel_size(), ctx->cancel_token())));
-      if (residual.kind != BoundResidual::Kind::kSelectionEq &&
-          residual.left_col != nullptr) {
-        MONSOON_ASSIGN_OR_RETURN(
-            residual.right_col,
-            TolerateCacheFault(
-                ctx, cache->GetOrBuild(source->sig, pred.right->term_id,
-                                       residual.right, source->table,
-                                       ctx->pool(), ctx->morsel_size(),
-                                       ctx->cancel_token())));
-        if (residual.right_col == nullptr) residual.left_col = nullptr;
-      }
-    }
+    MONSOON_ASSIGN_OR_RETURN(
+        BoundResidual residual,
+        BindResidual(query_.predicate(pred_id), source->schema, *registry_));
     filters.push_back(std::move(residual));
   }
 
-  auto out = std::make_shared<Table>(source->schema);
+  // Leaf residuals evaluate over the source expression itself, so the
+  // store's evaluate-once columns apply positionally: morsel passes share
+  // whole-table columns built up front, shard passes attach shard-scoped
+  // ones inside each supervised attempt (a killed attempt's partial fills
+  // are discarded with it).
   const Table& in = *source->table;
-  // FilterOperator fires the per-row fault point with the global input
-  // index as its coordinate, so the firing site is the same at every
-  // thread count and batch size.
-  FilterOperator filter_op(&filters);
-  shard::ShardMapPtr out_map;
-  if (sharded) {
-    // Sharded scan under the shard supervisor: each shard drives its own
-    // pipeline (with shard-scoped evaluate-once columns) into a local
-    // table committed only when the attempt succeeds. Locals merge in
-    // shard order, so the output is a fixed function of shard contents —
-    // independent of thread count and of any recovered kill.
-    shard::ShardMapPtr map =
-        ResolveShardMap(source->shards, in.num_rows(), ctx->num_shards());
-    std::vector<Table> locals(map->num_shards(), Table(source->schema));
-    UdfColumnCache* cache = store->udf_cache();
-    shard::ShardRunStats stats;
-    Status run = shard::RunSharded(
-        ctx->pool(), ctx->cancel_token(), *map, shard::kShardExecPoint,
-        [&](size_t s, size_t begin, size_t end, uint32_t attempt) -> Status {
-          std::vector<BoundResidual> local_filters = filters;
-          if (cache->enabled()) {
-            for (size_t f = 0; f < local_filters.size(); ++f) {
-              BoundResidual& lf = local_filters[f];
-              MONSOON_ASSIGN_OR_RETURN(
-                  lf.left_col,
-                  TolerateCacheFault(
-                      ctx, cache->GetOrBuildShard(
-                               source->sig, filter_terms[f].first, lf.left,
-                               source->table, begin, end, ctx->cancel_token())));
-              if (lf.kind != BoundResidual::Kind::kSelectionEq &&
-                  lf.left_col != nullptr) {
-                MONSOON_ASSIGN_OR_RETURN(
-                    lf.right_col,
-                    TolerateCacheFault(
-                        ctx, cache->GetOrBuildShard(source->sig,
-                                                    filter_terms[f].second,
-                                                    lf.right, source->table,
-                                                    begin, end,
-                                                    ctx->cancel_token())));
-                if (lf.right_col == nullptr) lf.left_col = nullptr;
-              }
-              lf.col_base = begin;
-            }
-          }
-          FilterOperator shard_filter_op(&local_filters);
-          Table attempt_local(source->schema);
-          GatherOperator gather(&attempt_local);
-          Pipeline pipeline;
-          pipeline.Add(&shard_filter_op).Add(&gather);
-          const size_t mid = begin + (end - begin) / 2;
-          MONSOON_RETURN_IF_ERROR(pipeline.Run(in, begin, mid, ctx));
-          // Mid-pass kill site: a fired fault discards attempt_local (and
-          // the attempt's un-published cache fills) before anything
-          // commits, so the retry re-reads exactly this shard.
-          MONSOON_RETURN_IF_ERROR(
-              fault::FireAttempt(shard::kShardExecPoint, s, attempt));
-          MONSOON_RETURN_IF_ERROR(pipeline.Run(in, mid, end, ctx));
-          locals[s] = std::move(attempt_local);
-          return Status::OK();
-        },
-        &stats);
-    ctx->AddShardStats(stats);
-    MONSOON_RETURN_IF_ERROR(run);
-    out_map = MapFromShardOutputs(locals);
-    for (Table& local : locals) out->TakeRowsFrom(&local);
-  } else if (WorthParallel(ctx, in.num_rows())) {
-    // Morsel-driven scan: each morsel drives its own pipeline into a local
-    // table; the barrier concatenates them in morsel order, so the output
-    // row order is identical to the serial scan's.
-    size_t num_morsels = parallel::NumMorsels(in.num_rows(), ctx->morsel_size());
-    std::vector<Table> locals(num_morsels, Table(source->schema));
-    MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
-        ctx->pool(), in.num_rows(), ctx->morsel_size(), ctx->cancel_token(),
-        [&](size_t m, size_t begin, size_t end) {
-          MONSOON_DCHECK(m < locals.size());
-          GatherOperator gather(&locals[m]);
-          return Pipeline().Add(&filter_op).Add(&gather).Run(in, begin, end,
-                                                             ctx);
-        }));
-    for (Table& local : locals) out->TakeRowsFrom(&local);
-  } else {
-    GatherOperator gather(out.get());
+  const PassRanges ranges(*ctx, source->shards, in.num_rows(),
+                          ctx->morsel_size());
+  UdfColumnCache* cache =
+      store->udf_cache()->enabled() ? store->udf_cache() : nullptr;
+  if (cache != nullptr && !ranges.sharded()) {
     MONSOON_RETURN_IF_ERROR(
-        Pipeline().Add(&filter_op).Add(&gather).Run(in, 0, in.num_rows(), ctx));
+        AttachColumns(cache, *source, /*shard=*/nullptr, ctx, &filters));
   }
+  // FilterOperator fires the per-row fault point with the global input
+  // index as its coordinate, so the firing site is the same in every
+  // configuration.
+  std::vector<Table> locals(ranges.size(), Table(source->schema));
+  Status run = ranges.Run(ctx, [&](const Range& r) -> Status {
+    const std::vector<BoundResidual>* range_filters = &filters;
+    std::vector<BoundResidual> shard_filters;
+    if (cache != nullptr && r.supervised) {
+      shard_filters = filters;
+      MONSOON_RETURN_IF_ERROR(
+          AttachColumns(cache, *source, &r, ctx, &shard_filters));
+      range_filters = &shard_filters;
+    }
+    FilterOperator filter_op(range_filters);
+    Table local(source->schema);
+    GatherOperator gather(&local);
+    Pipeline pipeline;
+    pipeline.Add(&filter_op).Add(&gather);
+    MONSOON_RETURN_IF_ERROR(r.Run([&](size_t begin, size_t end) {
+      return pipeline.Run(in, begin, end, ctx);
+    }));
+    locals[r.index] = std::move(local);
+    return Status::OK();
+  });
+  MONSOON_RETURN_IF_ERROR(run);
+  auto out = std::make_shared<Table>(source->schema);
+  shard::ShardMapPtr out_map = ranges.Concat(&locals, out.get());
 
   span.Arg("rows_out", static_cast<uint64_t>(out->num_rows()));
   MaterializedExpr result;
@@ -935,7 +857,6 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
   obs::TraceSpan span("exec", "join");
   span.Arg("rows_left", static_cast<uint64_t>(left.table->num_rows()))
       .Arg("rows_right", static_cast<uint64_t>(right.table->num_rows()));
-  const char* algo = "cross";
 
   RelSet left_rels(left.sig.rels);
   RelSet right_rels(right.sig.rels);
@@ -943,10 +864,8 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
 
   // Split node predicates into hash-joinable pairs and residual filters.
   struct EquiPair {
-    BoundTerm left_key;     // bound against the LEFT child schema
-    BoundTerm right_key;    // bound against the RIGHT child schema
-    int left_term_id = -1;  // cache keys for the two sides
-    int right_term_id = -1;
+    BoundTerm left_key;   // bound against the LEFT child schema
+    BoundTerm right_key;  // bound against the RIGHT child schema
   };
   std::vector<EquiPair> equi;
   std::vector<BoundResidual> residual;
@@ -971,8 +890,6 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
                                  BoundTerm::Bind(*lterm, left.schema, *registry_));
         MONSOON_ASSIGN_OR_RETURN(pair.right_key,
                                  BoundTerm::Bind(*rterm, right.schema, *registry_));
-        pair.left_term_id = lterm->term_id;
-        pair.right_term_id = rterm->term_id;
         equi.push_back(std::move(pair));
         separable = true;
       }
@@ -993,32 +910,20 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
   std::vector<CachedUdfColumnPtr> right_cols(equi.size());
   bool keys_cached = store->udf_cache()->enabled() && !equi.empty() &&
                      StoreResident(*store, left) && StoreResident(*store, right);
-  if (keys_cached) {
+  for (size_t k = 0; keys_cached && k < equi.size(); ++k) {
     UdfColumnCache* cache = store->udf_cache();
-    for (size_t k = 0; k < equi.size(); ++k) {
-      MONSOON_ASSIGN_OR_RETURN(
-          left_cols[k],
-          TolerateCacheFault(
-              ctx, cache->GetOrBuild(left.sig, equi[k].left_term_id,
-                                     equi[k].left_key, left.table, ctx->pool(),
-                                     ctx->morsel_size(), ctx->cancel_token())));
-      MONSOON_ASSIGN_OR_RETURN(
-          right_cols[k],
-          TolerateCacheFault(
-              ctx, cache->GetOrBuild(right.sig, equi[k].right_term_id,
-                                     equi[k].right_key, right.table,
-                                     ctx->pool(), ctx->morsel_size(),
-                                     ctx->cancel_token())));
-      if (left_cols[k] == nullptr || right_cols[k] == nullptr) {
-        keys_cached = false;
-        break;
-      }
-      // Positional reads against the wrong table are the cache's one fatal
-      // failure mode; the staleness check makes this structurally true.
-      MONSOON_DCHECK(left_cols[k]->size() == left.table->num_rows() &&
-                     right_cols[k]->size() == right.table->num_rows())
-          << "cached join key column size diverged from its table";
-    }
+    MONSOON_ASSIGN_OR_RETURN(
+        left_cols[k], CachedColumn(cache, left, equi[k].left_key, nullptr, ctx));
+    MONSOON_ASSIGN_OR_RETURN(
+        right_cols[k],
+        CachedColumn(cache, right, equi[k].right_key, nullptr, ctx));
+    keys_cached = left_cols[k] != nullptr && right_cols[k] != nullptr;
+    // Positional reads against the wrong table are the cache's one fatal
+    // failure mode; the staleness check makes this structurally true.
+    MONSOON_DCHECK(!keys_cached ||
+                   (left_cols[k]->size() == left.table->num_rows() &&
+                    right_cols[k]->size() == right.table->num_rows()))
+        << "cached join key column size diverged from its table";
   }
 
   auto out = std::make_shared<Table>(out_schema);
@@ -1028,405 +933,92 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
 
   if (equi.empty()) {
     // Cross product with residual filters (multi-table UDF predicates and
-    // genuine cross products both land here).
-    if (WorthParallel(ctx, lt.num_rows()) && rt.num_rows() > 0) {
-      // Morsels over the left input; every morsel pairs its left rows with
-      // the whole right side into a local table. Work (candidate pairs) is
-      // tallied in a shared atomic bounded by the remaining budget, so a
-      // runaway product still trips ResourceExhausted — at left-row
-      // granularity instead of per pair.
-      size_t morsel = ctx->morsel_size();
-      size_t num_morsels = parallel::NumMorsels(lt.num_rows(), morsel);
-      std::vector<Table> locals(num_morsels, Table(out_schema));
-      std::atomic<uint64_t> shared_work{0};
-      const uint64_t work_limit = ctx->RemainingWork();
-      Status loop = parallel::ParallelFor(
-          ctx->pool(), lt.num_rows(), morsel, ctx->cancel_token(),
-          [&](size_t m, size_t begin, size_t end) -> Status {
-            MONSOON_DCHECK(m < locals.size());
-            Table& local = locals[m];
-            for (size_t li = begin; li < end; ++li) {
-              // Each left row expands to |rt| pairs, so a morsel can dwarf
-              // the between-morsel poll interval: poll per left row.
-              MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());
-              MONSOON_FAULT_POINT("exec.udf_eval.cross", li);
-              for (size_t ri = 0; ri < rt.num_rows(); ++ri) {
-                EmitIfPasses(&local, lt, li, rt, ri, residual);
-              }
-              uint64_t before = shared_work.fetch_add(rt.num_rows());
-              if (before + rt.num_rows() > work_limit) {
-                return Status::ResourceExhausted("work budget exceeded");
-              }
-            }
-            return Status::OK();
-          });
-      Status charged = ctx->ChargeWork(shared_work.load());
-      MONSOON_RETURN_IF_ERROR(loop);
-      MONSOON_RETURN_IF_ERROR(charged);
-      for (Table& local : locals) out->TakeRowsFrom(&local);
-    } else {
-      for (size_t li = 0; li < lt.num_rows(); ++li) {
-        MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());
-        MONSOON_FAULT_POINT("exec.udf_eval.cross", li);
-        for (size_t ri = 0; ri < rt.num_rows(); ++ri) {
-          MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(1));
-          EmitIfPasses(out.get(), lt, li, rt, ri, residual);
-        }
-      }
-    }
-  } else if (options_.join_algorithm == JoinAlgorithm::kSortMerge) {
-    // Sort-merge join: materialize composite keys, sort row ids on both
-    // sides, then merge runs of equal keys. Stays serial — it exists as
-    // bench_micro's ablation of the (default, parallelized) hash join.
-    algo = "sort-merge";
-    size_t nkeys = equi.size();
-    const size_t key_batch = std::max<size_t>(1, ctx->batch_size());
-    // Keys live in flat typed columns (cached columns viewed in place,
-    // uncached terms filled batch-wise) instead of a boxed Value per row
-    // per key; sort and merge compare flat entries via FlatView, whose
-    // ordering matches Value's variant ordering exactly.
-    std::vector<FlatColumn> lflat, rflat;
-    std::vector<FlatView> lviews(nkeys), rviews(nkeys);
-    auto make_keys = [&](const Table& table, bool is_left,
-                         std::vector<FlatColumn>* flat,
-                         std::vector<FlatView>* views,
-                         std::vector<size_t>* order) -> Status {
-      const auto& cols = is_left ? left_cols : right_cols;
-      if (keys_cached) {
-        for (size_t k = 0; k < nkeys; ++k) (*views)[k] = FlatView::Of(*cols[k]);
-      } else {
-        flat->resize(nkeys);
-        for (size_t k = 0; k < nkeys; ++k) {
-          const auto& pair = equi[k];
-          const BoundTerm& key = is_left ? pair.left_key : pair.right_key;
-          (*flat)[k].Resize(key.result_type(), table.num_rows());
-          (*views)[k] = FlatView::Of((*flat)[k]);
-        }
-      }
-      for (size_t b = 0; b < table.num_rows(); b += key_batch) {
-        MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());
-        size_t e = std::min(table.num_rows(), b + key_batch);
-        for (size_t row = b; row < e; ++row) {
-          MONSOON_FAULT_POINT("exec.udf_eval.join_key", row);
-        }
-        if (!keys_cached) {
-          for (size_t k = 0; k < nkeys; ++k) {
-            const auto& pair = equi[k];
-            const BoundTerm& key = is_left ? pair.left_key : pair.right_key;
-            MONSOON_RETURN_IF_ERROR((*flat)[k].Fill(key, table, b, e, b));
+    // genuine cross products both land here), ranged over the left input.
+    auto cross = [&](const Range& r, Table* local, RangeTally* work_tally) {
+      return r.Run([&](size_t begin, size_t end) -> Status {
+        for (size_t li = begin; li < end; ++li) {
+          // Each left row expands to |rt| pairs, so a range can dwarf the
+          // per-range poll interval: poll per left row.
+          MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());
+          MONSOON_FAULT_POINT("exec.udf_eval.cross", li);
+          for (size_t ri = 0; ri < rt.num_rows(); ++ri) {
+            if (!work_tally->Add()) return BudgetExceeded();
+            EmitIfPasses(local, lt, li, rt, ri, residual);
           }
         }
-      }
-      order->resize(table.num_rows());
-      for (size_t i = 0; i < order->size(); ++i) (*order)[i] = i;
-      std::sort(order->begin(), order->end(), [&](size_t a, size_t b) {
-        for (size_t k = 0; k < nkeys; ++k) {
-          int c = FlatView::Compare((*views)[k], a, (*views)[k], b);
-          if (c != 0) return c < 0;
-        }
-        return false;
+        return Status::OK();
       });
-      return Status::OK();
     };
-    std::vector<size_t> lorder, rorder;
-    MONSOON_RETURN_IF_ERROR(make_keys(lt, /*is_left=*/true, &lflat, &lviews, &lorder));
-    MONSOON_RETURN_IF_ERROR(make_keys(rt, /*is_left=*/false, &rflat, &rviews, &rorder));
-    MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(lt.num_rows() + rt.num_rows()));
-
-    auto key_equal = [&](size_t li, size_t ri) {
-      for (size_t k = 0; k < nkeys; ++k) {
-        if (!FlatView::Equal(lviews[k], li, rviews[k], ri)) return false;
-      }
-      return true;
-    };
-    // Lexicographic comparison of a left-side key against a right-side key.
-    auto key_less = [&](size_t li, size_t ri) {
-      for (size_t k = 0; k < nkeys; ++k) {
-        int c = FlatView::Compare(lviews[k], li, rviews[k], ri);
-        if (c != 0) return c < 0;
-      }
-      return false;
-    };
-    auto key_greater = [&](size_t li, size_t ri) {
-      for (size_t k = 0; k < nkeys; ++k) {
-        int c = FlatView::Compare(lviews[k], li, rviews[k], ri);
-        if (c != 0) return c > 0;
-      }
-      return false;
-    };
-    auto same_side_equal = [&](const std::vector<FlatView>& views, size_t a,
-                               size_t b) {
-      for (size_t k = 0; k < nkeys; ++k) {
-        if (!FlatView::Equal(views[k], a, views[k], b)) return false;
-      }
-      return true;
-    };
-
-    size_t li = 0, ri = 0;
-    while (li < lorder.size() && ri < rorder.size()) {
-      // The merge is serial and a skewed key can hold a run for a long
-      // time, so the cancellation poll sits ahead of the advance/emit arms.
-      MONSOON_RETURN_IF_ERROR(ctx->CheckCancelled());
-      size_t lrow = lorder[li];
-      size_t rrow = rorder[ri];
-      if (key_less(lrow, rrow)) {
-        ++li;
-        continue;
-      }
-      if (key_greater(lrow, rrow)) {
-        ++ri;
-        continue;
-      }
-      if (!key_equal(lrow, rrow)) {
-        // NaN keys compare unordered-equal; skip safely.
-        ++li;
-        continue;
-      }
-      // Extents of the equal run on both sides.
-      size_t lend = li + 1;
-      while (lend < lorder.size() && same_side_equal(lviews, lorder[lend], lrow)) {
-        ++lend;
-      }
-      size_t rend = ri + 1;
-      while (rend < rorder.size() && same_side_equal(rviews, rorder[rend], rrow)) {
-        ++rend;
-      }
-      for (size_t a = li; a < lend; ++a) {
-        for (size_t b = ri; b < rend; ++b) {
-          MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(1));
-          EmitIfPasses(out.get(), lt, lorder[a], rt, rorder[b], residual);
-        }
-      }
-      li = lend;
-      ri = rend;
-    }
-  } else if (ctx->num_shards() > 1) {
-    // Sharded hash join: build and probe both run per-shard under the
-    // shard supervisor (kill → discard that shard's partials → bounded
-    // retry of only that shard). Key columns stay whole-side — the
-    // probe's confirm step random-accesses arbitrary build rows — so a
-    // recovered shard recomputes only its key hashes (absolute disjoint
-    // slots, idempotent across attempts) and its probes (commit-on-success
-    // locals). The scatter/index/Bloom merge between the two passes is the
-    // same serial-row-order code as the parallel join, so the index is a
-    // function of build contents only.
-    algo = "hash-sharded";
+    MONSOON_ASSIGN_OR_RETURN(out_map,
+                             RunEmitPass(ctx, left, out_schema, out.get(), cross));
+  } else {
+    // Hash join, built on the smaller input: one range pass hashes the
+    // build keys, a partitioned index and Bloom filter are built over the
+    // hashes, and one range pass probes.
     obs::TraceSpan build_span("exec", "join.build");
-    bool build_left = lt.num_rows() <= rt.num_rows();
-    const Table& build = build_left ? lt : rt;
-    const Table& probe = build_left ? rt : lt;
-    size_t nkeys = equi.size();
+    const bool build_left = lt.num_rows() <= rt.num_rows();
+    const MaterializedExpr& build_side = build_left ? left : right;
+    const MaterializedExpr& probe_side = build_left ? right : left;
+    const Table& build = *build_side.table;
+    const size_t nkeys = equi.size();
 
-    std::vector<const BoundTerm*> build_terms;
-    std::vector<const BoundTerm*> probe_terms;
-    build_terms.reserve(nkeys);
-    probe_terms.reserve(nkeys);
-    for (const auto& pair : equi) {
-      build_terms.push_back(build_left ? &pair.left_key : &pair.right_key);
-      probe_terms.push_back(build_left ? &pair.right_key : &pair.left_key);
-    }
-    const auto& build_cols = build_left ? left_cols : right_cols;
-    const auto& probe_cols = build_left ? right_cols : left_cols;
-
-    std::vector<FlatColumn> build_flat;
+    // Keys oriented build/probe. Cached keys view the evaluate-once columns
+    // in place; uncached build keys fill whole-side FlatColumns that the
+    // probe's confirm step compares against, and uncached probe keys fill
+    // batch-locally inside the probe — no boxed key Values either way.
+    std::vector<const BoundTerm*> build_terms(nkeys);
+    std::vector<const BoundTerm*> probe_terms(nkeys);
+    std::vector<FlatColumn> build_flat(keys_cached ? 0 : nkeys);
     std::vector<FlatView> build_views(nkeys);
-    if (keys_cached) {
-      for (size_t k = 0; k < nkeys; ++k) {
-        build_views[k] = FlatView::Of(*build_cols[k]);
-      }
-    } else {
-      build_flat.resize(nkeys);
-      for (size_t k = 0; k < nkeys; ++k) {
-        build_flat[k].Resize(build_terms[k]->result_type(), build.num_rows());
-        build_views[k] = FlatView::Of(build_flat[k]);
-      }
-    }
-    std::vector<uint64_t> build_hashes(build.num_rows());
-    HashBuildOperator build_op(&build_terms, keys_cached, &build_flat,
-                               &build_views, &build_hashes);
-    shard::ShardMapPtr build_map =
-        ResolveShardMap(build_left ? left.shards : right.shards,
-                        build.num_rows(), ctx->num_shards());
-    {
-      shard::ShardRunStats stats;
-      Status run = shard::RunSharded(
-          ctx->pool(), ctx->cancel_token(), *build_map, shard::kShardExecPoint,
-          [&](size_t s, size_t begin, size_t end, uint32_t attempt) -> Status {
-            Pipeline pipeline;
-            pipeline.Add(&build_op);
-            const size_t mid = begin + (end - begin) / 2;
-            MONSOON_RETURN_IF_ERROR(pipeline.Run(build, begin, mid, ctx));
-            MONSOON_RETURN_IF_ERROR(
-                fault::FireAttempt(shard::kShardExecPoint, s, attempt));
-            return pipeline.Run(build, mid, end, ctx);
-          },
-          &stats);
-      ctx->AddShardStats(stats);
-      MONSOON_RETURN_IF_ERROR(run);
-    }
-
-    std::vector<std::vector<size_t>> partition_rows(kBuildPartitions);
-    for (auto& rows : partition_rows) {
-      rows.reserve(build.num_rows() / kBuildPartitions + 1);
-    }
-    // A shift and a pointer append per row, bracketed by polling shard /
-    // ParallelFor passes (see the parallel join's scatter).
-    for (size_t row = 0; row < build.num_rows(); ++row) {  // NOLINT(monsoon-analyze-must-poll)
-      size_t p = build_hashes[row] >> kBuildPartitionShift;
-      MONSOON_DCHECK(p < kBuildPartitions);
-      partition_rows[p].push_back(row);
-    }
-    std::vector<std::unordered_multimap<uint64_t, size_t>> partitions(
-        kBuildPartitions);
-    MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
-        ctx->pool(), kBuildPartitions, 1, ctx->cancel_token(),
-        [&](size_t p, size_t, size_t) {
-          partitions[p].reserve(partition_rows[p].size() * 2);
-          for (size_t row : partition_rows[p]) {
-            partitions[p].emplace(build_hashes[row], row);
-          }
-          return Status::OK();
-        }));
-    std::unique_ptr<JoinBloomFilter> bloom;
-    if (ctx->batch_size() > 1) {
-      bloom = std::make_unique<JoinBloomFilter>(build.num_rows());
-      for (uint64_t h : build_hashes) bloom->AddHash(h);
-    }
-    MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(build.num_rows()));
-    build_span.Arg("rows", static_cast<uint64_t>(build.num_rows()));
-    build_span.End();
-
-    // Probe: one supervised body per probe-side shard, emitting into a
-    // local table with a local work tally, both committed only on success
-    // — a killed attempt's rows and tally die with it, so the shared
-    // tally counts every shard exactly once and the merged output equals
-    // the unsharded row multiset at any thread count.
-    obs::TraceSpan probe_span("exec", "join.probe");
-    probe_span.Arg("rows", static_cast<uint64_t>(probe.num_rows()));
-    shard::ShardMapPtr probe_map =
-        ResolveShardMap(build_left ? right.shards : left.shards,
-                        probe.num_rows(), ctx->num_shards());
-    std::vector<Table> locals(probe_map->num_shards(), Table(out_schema));
-    std::atomic<uint64_t> shared_work{0};
-    const uint64_t work_limit = ctx->RemainingWork();
     std::vector<FlatView> probe_views(keys_cached ? nkeys : 0);
-    for (size_t k = 0; k < probe_views.size(); ++k) {
-      probe_views[k] = FlatView::Of(*probe_cols[k]);
-    }
-    HashProbeOperator::Spec spec;
-    spec.lt = &lt;
-    spec.rt = &rt;
-    spec.build_left = build_left;
-    spec.keys_cached = keys_cached;
-    spec.probe_terms = &probe_terms;
-    spec.build_views = &build_views;
-    spec.probe_views = &probe_views;
-    spec.partitions = &partitions;
-    spec.bloom = bloom.get();
-    spec.residual = &residual;
-    spec.out_schema = &out_schema;
-    {
-      shard::ShardRunStats stats;
-      Status run = shard::RunSharded(
-          ctx->pool(), ctx->cancel_token(), *probe_map, shard::kShardExecPoint,
-          [&](size_t s, size_t begin, size_t end, uint32_t attempt) -> Status {
-            uint64_t local_work = 0;
-            Table attempt_local(out_schema);
-            HashProbeOperator probe_op(spec, &attempt_local, &local_work);
-            Pipeline pipeline;
-            pipeline.Add(&probe_op);
-            const size_t mid = begin + (end - begin) / 2;
-            MONSOON_RETURN_IF_ERROR(pipeline.Run(probe, begin, mid, ctx));
-            MONSOON_RETURN_IF_ERROR(
-                fault::FireAttempt(shard::kShardExecPoint, s, attempt));
-            MONSOON_RETURN_IF_ERROR(pipeline.Run(probe, mid, end, ctx));
-            uint64_t before = shared_work.fetch_add(local_work);
-            if (before + local_work > work_limit) {
-              return Status::ResourceExhausted("work budget exceeded");
-            }
-            locals[s] = std::move(attempt_local);
-            return Status::OK();
-          },
-          &stats);
-      ctx->AddShardStats(stats);
-      Status charged = ctx->ChargeWork(shared_work.load());
-      MONSOON_RETURN_IF_ERROR(run);
-      MONSOON_RETURN_IF_ERROR(charged);
-    }
-    out_map = MapFromShardOutputs(locals);
-    for (Table& local : locals) out->TakeRowsFrom(&local);
-  } else if (WorthParallel(ctx, std::max(lt.num_rows(), rt.num_rows()))) {
-    // Parallel hash join: partitioned build + morsel-driven probe.
-    algo = "hash-parallel";
-    obs::TraceSpan build_span("exec", "join.build");
-    bool build_left = lt.num_rows() <= rt.num_rows();
-    const Table& build = build_left ? lt : rt;
-    const Table& probe = build_left ? rt : lt;
-    size_t nkeys = equi.size();
-    size_t morsel = ctx->morsel_size();
-    parallel::ThreadPool* pool = ctx->pool();
-
-    // Per-side key vectors, hoisted and reserve()d once instead of
-    // re-selecting build_left per row per key (fallback path), and the
-    // cached columns oriented the same way.
-    std::vector<const BoundTerm*> build_terms;
-    std::vector<const BoundTerm*> probe_terms;
-    build_terms.reserve(nkeys);
-    probe_terms.reserve(nkeys);
-    for (const auto& pair : equi) {
-      build_terms.push_back(build_left ? &pair.left_key : &pair.right_key);
-      probe_terms.push_back(build_left ? &pair.right_key : &pair.left_key);
-    }
-    const auto& build_cols = build_left ? left_cols : right_cols;
-    const auto& probe_cols = build_left ? right_cols : left_cols;
-
-    // Build phase 1 (parallel): composite key hashes, from cached hash
-    // columns when available (strings never re-hashed); the fallback fills
-    // whole-side FlatColumns the probe's confirm step compares against —
-    // no boxed key Values on either path. Morsels drive the shared
-    // HashBuildOperator over disjoint row ranges.
-    std::vector<FlatColumn> build_flat;
-    std::vector<FlatView> build_views(nkeys);
-    if (keys_cached) {
-      for (size_t k = 0; k < nkeys; ++k) {
-        build_views[k] = FlatView::Of(*build_cols[k]);
-      }
-    } else {
-      build_flat.resize(nkeys);
-      for (size_t k = 0; k < nkeys; ++k) {
+    for (size_t k = 0; k < nkeys; ++k) {
+      build_terms[k] = build_left ? &equi[k].left_key : &equi[k].right_key;
+      probe_terms[k] = build_left ? &equi[k].right_key : &equi[k].left_key;
+      if (keys_cached) {
+        build_views[k] = FlatView::Of(*(build_left ? left_cols : right_cols)[k]);
+        probe_views[k] = FlatView::Of(*(build_left ? right_cols : left_cols)[k]);
+      } else {
         build_flat[k].Resize(build_terms[k]->result_type(), build.num_rows());
         build_views[k] = FlatView::Of(build_flat[k]);
       }
     }
+
+    // Key hashes: ranges write disjoint slots of the whole-side arrays, so
+    // a retried shard attempt simply rewrites its own slots.
     std::vector<uint64_t> build_hashes(build.num_rows());
     HashBuildOperator build_op(&build_terms, keys_cached, &build_flat,
                                &build_views, &build_hashes);
-    MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
-        pool, build.num_rows(), morsel, ctx->cancel_token(),
-        [&](size_t, size_t begin, size_t end) {
-          return Pipeline().Add(&build_op).Run(build, begin, end, ctx);
-        }));
+    Pipeline build_pipeline;
+    build_pipeline.Add(&build_op);
+    const PassRanges build_ranges(*ctx, build_side.shards, build.num_rows(),
+                                  ctx->morsel_size());
+    Status hashed = build_ranges.Run(ctx, [&](const Range& r) {
+      return r.Run([&](size_t begin, size_t end) {
+        return build_pipeline.Run(build, begin, end, ctx);
+      });
+    });
+    MONSOON_RETURN_IF_ERROR(hashed);
 
-    // Build phase 2: scatter rows to partitions in row order (serial, a
-    // pointer append per row), then build each partition's table in
-    // parallel. Per-partition row order equals global build order, so the
-    // partition tables are independent of the thread count.
-    std::vector<std::vector<size_t>> partition_rows(kBuildPartitions);
+    // Index: rows scatter to partitions in row order, then each partition
+    // builds its table (concurrently when there is a pool). Per-partition
+    // row order equals build row order, so the candidate order the probe
+    // sees is the same in every configuration.
+    const size_t num_partitions =
+        build.num_rows() <= ctx->morsel_size() ? 1 : kBuildPartitions;
+    std::vector<std::vector<size_t>> partition_rows(num_partitions);
     for (auto& rows : partition_rows) {
-      rows.reserve(build.num_rows() / kBuildPartitions + 1);
+      rows.reserve(build.num_rows() / num_partitions + 1);
     }
-    // A shift and a pointer append per row, with polling ParallelFor calls
-    // immediately before and after: a poll inside would cost more than the
-    // loop body.
+    // A shift and a pointer append per row, between two polling passes: a
+    // poll inside would cost more than the loop body.
     for (size_t row = 0; row < build.num_rows(); ++row) {  // NOLINT(monsoon-analyze-must-poll)
-      size_t p = build_hashes[row] >> kBuildPartitionShift;
-      MONSOON_DCHECK(p < kBuildPartitions);
+      const size_t p = PartitionOf(build_hashes[row], num_partitions);
       partition_rows[p].push_back(row);
     }
     std::vector<std::unordered_multimap<uint64_t, size_t>> partitions(
-        kBuildPartitions);
+        num_partitions);
     MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
-        pool, kBuildPartitions, 1, ctx->cancel_token(),
+        ctx->pool(), num_partitions, 1, ctx->cancel_token(),
         [&](size_t p, size_t, size_t) {
           partitions[p].reserve(partition_rows[p].size() * 2);
           for (size_t row : partition_rows[p]) {
@@ -1447,20 +1039,8 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     build_span.Arg("rows", static_cast<uint64_t>(build.num_rows()));
     build_span.End();
 
-    // Probe phase (parallel): morsels emit into local tables merged in
-    // morsel order; probe work (rows + hash candidates) accumulates in a
-    // shared atomic tally charged once at the barrier, bounded by the
-    // remaining budget so oversized joins still trip the timeout.
     obs::TraceSpan probe_span("exec", "join.probe");
-    probe_span.Arg("rows", static_cast<uint64_t>(probe.num_rows()));
-    size_t num_morsels = parallel::NumMorsels(probe.num_rows(), morsel);
-    std::vector<Table> locals(num_morsels, Table(out_schema));
-    std::atomic<uint64_t> shared_work{0};
-    const uint64_t work_limit = ctx->RemainingWork();
-    std::vector<FlatView> probe_views(keys_cached ? nkeys : 0);
-    for (size_t k = 0; k < probe_views.size(); ++k) {
-      probe_views[k] = FlatView::Of(*probe_cols[k]);
-    }
+    probe_span.Arg("rows", static_cast<uint64_t>(probe_side.table->num_rows()));
     HashProbeOperator::Spec spec;
     spec.lt = &lt;
     spec.rt = &rt;
@@ -1473,106 +1053,22 @@ StatusOr<MaterializedExpr> Executor::ExecuteJoin(const PlanNode::Ptr& node,
     spec.bloom = bloom.get();
     spec.residual = &residual;
     spec.out_schema = &out_schema;
-    Status loop = parallel::ParallelFor(
-        pool, probe.num_rows(), morsel, ctx->cancel_token(),
-        [&](size_t m, size_t begin, size_t end) -> Status {
-          MONSOON_DCHECK(m < locals.size());
-          uint64_t local_work = 0;
-          HashProbeOperator probe_op(spec, &locals[m], &local_work);
-          MONSOON_RETURN_IF_ERROR(
-              Pipeline().Add(&probe_op).Run(probe, begin, end, ctx));
-          uint64_t before = shared_work.fetch_add(local_work);
-          if (before + local_work > work_limit) {
-            return Status::ResourceExhausted("work budget exceeded");
-          }
-          return Status::OK();
-        });
-    Status charged = ctx->ChargeWork(shared_work.load());
-    MONSOON_RETURN_IF_ERROR(loop);
-    MONSOON_RETURN_IF_ERROR(charged);
-    for (Table& local : locals) out->TakeRowsFrom(&local);
-  } else {
-    // Serial hash join: build on the smaller input.
-    algo = "hash-serial";
-    obs::TraceSpan build_span("exec", "join.build");
-    bool build_left = lt.num_rows() <= rt.num_rows();
-    const Table& build = build_left ? lt : rt;
-    const Table& probe = build_left ? rt : lt;
-
-    size_t nkeys = equi.size();
-    // Hoisted per-side key vectors and reserve()d scratch buffers shared
-    // by the cached and fallback paths (see the parallel join above).
-    std::vector<const BoundTerm*> build_terms;
-    std::vector<const BoundTerm*> probe_terms;
-    build_terms.reserve(nkeys);
-    probe_terms.reserve(nkeys);
-    for (const auto& pair : equi) {
-      build_terms.push_back(build_left ? &pair.left_key : &pair.right_key);
-      probe_terms.push_back(build_left ? &pair.right_key : &pair.left_key);
-    }
-    const auto& build_cols = build_left ? left_cols : right_cols;
-    const auto& probe_cols = build_left ? right_cols : left_cols;
-
-    // Build through the same operator as the parallel join, plus a serial
-    // index-insert sink that emplaces rows in order; uncached keys land in
-    // whole-side FlatColumns the probe compares against (no boxed Values).
-    std::vector<FlatColumn> build_flat;
-    std::vector<FlatView> build_views(nkeys);
-    if (keys_cached) {
-      for (size_t k = 0; k < nkeys; ++k) {
-        build_views[k] = FlatView::Of(*build_cols[k]);
-      }
-    } else {
-      build_flat.resize(nkeys);
-      for (size_t k = 0; k < nkeys; ++k) {
-        build_flat[k].Resize(build_terms[k]->result_type(), build.num_rows());
-        build_views[k] = FlatView::Of(build_flat[k]);
-      }
-    }
-    std::vector<uint64_t> build_hashes(build.num_rows());
-    std::unordered_multimap<uint64_t, size_t> index;
-    index.reserve(build.num_rows() * 2);
-    HashBuildOperator build_op(&build_terms, keys_cached, &build_flat,
-                               &build_views, &build_hashes);
-    IndexInsertOperator insert_op(&build_hashes, &index);
-    MONSOON_RETURN_IF_ERROR(Pipeline().Add(&build_op).Add(&insert_op).Run(
-        build, 0, build.num_rows(), ctx));
-    std::unique_ptr<JoinBloomFilter> bloom;
-    if (ctx->batch_size() > 1) {
-      bloom = std::make_unique<JoinBloomFilter>(build.num_rows());
-      for (uint64_t h : build_hashes) bloom->AddHash(h);
-    }
-    MONSOON_RETURN_IF_ERROR(ctx->ChargeWork(build.num_rows()));
-    build_span.Arg("rows", static_cast<uint64_t>(build.num_rows()));
-    build_span.End();
-
-    obs::TraceSpan probe_span("exec", "join.probe");
-    probe_span.Arg("rows", static_cast<uint64_t>(probe.num_rows()));
-    std::vector<FlatView> probe_views(keys_cached ? nkeys : 0);
-    for (size_t k = 0; k < probe_views.size(); ++k) {
-      probe_views[k] = FlatView::Of(*probe_cols[k]);
-    }
-    HashProbeOperator::Spec spec;
-    spec.lt = &lt;
-    spec.rt = &rt;
-    spec.build_left = build_left;
-    spec.keys_cached = keys_cached;
-    spec.probe_terms = &probe_terms;
-    spec.build_views = &build_views;
-    spec.probe_views = &probe_views;
-    spec.index = &index;
-    spec.bloom = bloom.get();
-    spec.residual = &residual;
-    spec.out_schema = &out_schema;
-    HashProbeOperator probe_op(spec, out.get(), /*work_tally=*/nullptr);
-    MONSOON_RETURN_IF_ERROR(
-        Pipeline().Add(&probe_op).Run(probe, 0, probe.num_rows(), ctx));
+    auto probe = [&](const Range& r, Table* local, RangeTally* work_tally) {
+      HashProbeOperator probe_op(spec, local, work_tally);
+      Pipeline pipeline;
+      pipeline.Add(&probe_op);
+      return r.Run([&](size_t begin, size_t end) {
+        return pipeline.Run(*probe_side.table, begin, end, ctx);
+      });
+    };
+    MONSOON_ASSIGN_OR_RETURN(
+        out_map, RunEmitPass(ctx, probe_side, out_schema, out.get(), probe));
   }
 
   // The join's output objects are the paper's cost for this node.
   MONSOON_RETURN_IF_ERROR(ctx->Charge(out->num_rows()));
   join_rows_metric->Observe(out->num_rows());
-  span.Arg("algo", algo)
+  span.Arg("algo", equi.empty() ? "cross" : "hash")
       .Arg("keys_cached", keys_cached)
       .Arg("rows_out", static_cast<uint64_t>(out->num_rows()));
 
@@ -1614,129 +1110,79 @@ Status Executor::CollectStats(const MaterializedExpr& expr,
   if (terms.empty()) return Status::OK();
 
   // Whole-pass fault point (coordinate = input cardinality, identical in
-  // serial and parallel execution): lets fault specs kill Σ passes
-  // outright to exercise the prior-only degradation path.
+  // every configuration): lets fault specs kill Σ passes outright to
+  // exercise the prior-only degradation path.
   MONSOON_FAULT_POINT("exec.sigma.pass", expr.table->num_rows());
 
   // Evaluate-once columns per term: repeated Σ passes over the same
   // materialized expression (the plan → Σ → re-plan loop) hit the cache
   // and feed precomputed hashes straight into the sketches. Terms whose
   // column is unavailable fall back per-row, independently of the rest.
-  // Sharded passes build shard-scoped columns inside each supervised body
-  // instead, so a killed shard's partial fills die with the attempt.
-  const bool sharded = ctx->num_shards() > 1;
+  // Morsel passes share whole-table columns built up front; shard passes
+  // look up shard-scoped columns inside each supervised attempt, so a
+  // killed shard's partial fills die with the attempt.
+  const Table& table = *expr.table;
+  UdfColumnCache* cache = store != nullptr && store->udf_cache()->enabled() &&
+                                  StoreResident(*store, expr)
+                              ? store->udf_cache()
+                              : nullptr;
+  // Σ morsels are widened to a handful per lane: a sketch set costs 2^p
+  // bytes per term, so many small morsels would waste memory for no extra
+  // balance. The merge below is exact at any range count.
+  const size_t lanes =
+      ctx->pool() != nullptr ? static_cast<size_t>(ctx->pool()->num_threads())
+                             : 1;
+  const PassRanges ranges(
+      *ctx, expr.shards, table.num_rows(),
+      std::max(ctx->morsel_size(), table.num_rows() / (4 * lanes) + 1));
   std::vector<CachedUdfColumnPtr> term_cols(terms.size());
-  if (!sharded && store != nullptr && store->udf_cache()->enabled() &&
-      StoreResident(*store, expr)) {
-    for (size_t t = 0; t < terms.size(); ++t) {
-      MONSOON_ASSIGN_OR_RETURN(
-          term_cols[t],
-          TolerateCacheFault(
-              ctx, store->udf_cache()->GetOrBuild(
-                       expr.sig, terms[t].first, terms[t].second, expr.table,
-                       ctx->pool(), ctx->morsel_size(), ctx->cancel_token())));
-    }
-  }
-  for (size_t t = 0; t < terms.size(); ++t) {
+  for (size_t t = 0; cache != nullptr && !ranges.sharded() && t < terms.size();
+       ++t) {
+    MONSOON_ASSIGN_OR_RETURN(
+        term_cols[t], CachedColumn(cache, expr, terms[t].second, nullptr, ctx));
     MONSOON_DCHECK(term_cols[t] == nullptr ||
-                   term_cols[t]->size() == expr.table->num_rows())
+                   term_cols[t]->size() == table.num_rows())
         << "cached column for term " << terms[t].first << " is stale";
   }
+  // One sketch set per range, committed on success. The register-wise max
+  // merge is exact and order-independent, so the distinct counts are
+  // bit-identical in every configuration — including across a recovered
+  // shard kill. A shard failed past the retry budget propagates its
+  // (shard-naming) transient status, which the caller degrades to
+  // prior-only planning for this relation.
+  std::vector<std::vector<HyperLogLog>> range_sketches(ranges.size());
+  Status run = ranges.Run(ctx, [&](const Range& r) -> Status {
+    const std::vector<CachedUdfColumnPtr>* cols = &term_cols;
+    std::vector<CachedUdfColumnPtr> shard_cols;
+    if (cache != nullptr && r.supervised) {
+      shard_cols.resize(terms.size());
+      for (size_t t = 0; t < terms.size(); ++t) {
+        MONSOON_ASSIGN_OR_RETURN(
+            shard_cols[t], CachedColumn(cache, expr, terms[t].second, &r, ctx));
+      }
+      cols = &shard_cols;
+    }
+    std::vector<HyperLogLog> local(terms.size(),
+                                   HyperLogLog(kSigmaHllPrecision));
+    SigmaOperator sigma_op(&terms, cols, &local,
+                           /*col_base=*/r.supervised ? r.begin : 0);
+    Pipeline pipeline;
+    pipeline.Add(&sigma_op);
+    MONSOON_RETURN_IF_ERROR(r.Run([&](size_t begin, size_t end) {
+      return pipeline.Run(table, begin, end, ctx);
+    }));
+    range_sketches[r.index] = std::move(local);
+    return Status::OK();
+  });
+  MONSOON_RETURN_IF_ERROR(run);
   std::vector<HyperLogLog> sketches(terms.size(),
-                                    HyperLogLog(options_.hll_precision));
-  const Table& table = *expr.table;
-  if (sharded) {
-    // Sharded Σ: each shard folds its rows into a fresh sketch set per
-    // attempt (with shard-scoped evaluate-once columns) and commits the
-    // set only on success. The register-wise max merge in shard order is
-    // exact and order-independent, so the distinct counts are
-    // bit-identical to the serial pass — including across a recovered
-    // shard kill. A shard failed past the retry budget propagates its
-    // (shard-naming) transient status, which the caller degrades to
-    // prior-only planning for this relation.
-    shard::ShardMapPtr map =
-        ResolveShardMap(expr.shards, table.num_rows(), ctx->num_shards());
-    std::vector<std::vector<HyperLogLog>> shard_sketches(
-        map->num_shards(),
-        std::vector<HyperLogLog>(terms.size(),
-                                 HyperLogLog(options_.hll_precision)));
-    const bool cache_on = store != nullptr && store->udf_cache()->enabled() &&
-                          StoreResident(*store, expr);
-    shard::ShardRunStats stats;
-    Status run = shard::RunSharded(
-        ctx->pool(), ctx->cancel_token(), *map, shard::kShardExecPoint,
-        [&](size_t s, size_t begin, size_t end, uint32_t attempt) -> Status {
-          std::vector<CachedUdfColumnPtr> local_cols(terms.size());
-          if (cache_on) {
-            for (size_t t = 0; t < terms.size(); ++t) {
-              MONSOON_ASSIGN_OR_RETURN(
-                  local_cols[t],
-                  TolerateCacheFault(
-                      ctx, store->udf_cache()->GetOrBuildShard(
-                               expr.sig, terms[t].first, terms[t].second,
-                               expr.table, begin, end, ctx->cancel_token())));
-            }
-          }
-          std::vector<HyperLogLog> local(terms.size(),
-                                         HyperLogLog(options_.hll_precision));
-          SigmaOperator sigma_op(&terms, &local_cols, &local,
-                                 /*col_base=*/begin);
-          Pipeline pipeline;
-          pipeline.Add(&sigma_op);
-          const size_t mid = begin + (end - begin) / 2;
-          MONSOON_RETURN_IF_ERROR(pipeline.Run(table, begin, mid, ctx));
-          MONSOON_RETURN_IF_ERROR(
-              fault::FireAttempt(shard::kShardExecPoint, s, attempt));
-          MONSOON_RETURN_IF_ERROR(pipeline.Run(table, mid, end, ctx));
-          shard_sketches[s] = std::move(local);
-          return Status::OK();
-        },
-        &stats);
-    ctx->AddShardStats(stats);
-    MONSOON_RETURN_IF_ERROR(run);
-    // Merge iterates sketch sets, not rows (register-wise max).
-    for (const std::vector<HyperLogLog>& local : shard_sketches) {  // NOLINT(monsoon-analyze-must-poll)
-      MONSOON_DCHECK(local.size() == sketches.size());
-      for (size_t t = 0; t < terms.size(); ++t) {
-        MONSOON_RETURN_IF_ERROR(sketches[t].Merge(local[t]));
-      }
+                                    HyperLogLog(kSigmaHllPrecision));
+  // Iterates sketch sets (a handful per lane), not rows.
+  for (const std::vector<HyperLogLog>& local : range_sketches) {  // NOLINT(monsoon-analyze-must-poll)
+    MONSOON_DCHECK(local.size() == sketches.size());
+    for (size_t t = 0; t < terms.size(); ++t) {
+      MONSOON_RETURN_IF_ERROR(sketches[t].Merge(local[t]));
     }
-  } else if (WorthParallel(ctx, table.num_rows())) {
-    // One sketch set per morsel, merged at the barrier. The HLL merge is
-    // register-wise max — exact, order- and grouping-independent — so the
-    // observed distinct counts are bit-identical to the serial pass. Σ
-    // morsels are widened to a handful per thread: sketch sets cost 2^p
-    // bytes per term each, so many small morsels would waste memory for
-    // no extra balance.
-    parallel::ThreadPool* pool = ctx->pool();
-    size_t morsel =
-        std::max(ctx->morsel_size(),
-                 table.num_rows() / (4 * static_cast<size_t>(pool->num_threads())) + 1);
-    size_t num_morsels = parallel::NumMorsels(table.num_rows(), morsel);
-    std::vector<std::vector<HyperLogLog>> morsel_sketches(
-        num_morsels,
-        std::vector<HyperLogLog>(terms.size(), HyperLogLog(options_.hll_precision)));
-    MONSOON_RETURN_IF_ERROR(parallel::ParallelFor(
-        pool, table.num_rows(), morsel, ctx->cancel_token(),
-        [&](size_t m, size_t begin, size_t end) -> Status {
-          MONSOON_DCHECK(m < morsel_sketches.size());
-          SigmaOperator sigma_op(&terms, &term_cols, &morsel_sketches[m]);
-          return Pipeline().Add(&sigma_op).Run(table, begin, end, ctx);
-        }));
-    // Iterates sketch sets (a handful per thread), not rows; the merge is
-    // register-wise max over fixed-size arrays.
-    for (const std::vector<HyperLogLog>& local : morsel_sketches) {  // NOLINT(monsoon-analyze-must-poll)
-      // Register-wise max requires equal precision on every per-morsel
-      // sketch; all are built from options_.hll_precision above.
-      MONSOON_DCHECK(local.size() == sketches.size());
-      for (size_t t = 0; t < terms.size(); ++t) {
-        MONSOON_RETURN_IF_ERROR(sketches[t].Merge(local[t]));
-      }
-    }
-  } else {
-    SigmaOperator sigma_op(&terms, &term_cols, &sketches);
-    MONSOON_RETURN_IF_ERROR(
-        Pipeline().Add(&sigma_op).Run(table, 0, table.num_rows(), ctx));
   }
   // Statistics collection is another pass over the data (Sec. 4.4). The
   // charge stays at the END of the pass on purpose: a Σ pass lost to a

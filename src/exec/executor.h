@@ -51,40 +51,26 @@ struct ExecResult {
 ///
 /// Every table an interior node produces is materialized (this repo
 /// reproduces logical optimization; pipelining is out of scope, exactly as
-/// in the paper's object-count cost model).
+/// in the paper's object-count cost model). The paper leaves physical
+/// operators to future work, so there is one of each.
 ///
-/// When the ExecContext carries a thread pool, scans, residual filters,
-/// hash-join build/probe and Σ passes run morsel-driven on that pool;
-/// per-morsel results merge at a barrier in morsel order, and Σ merges
-/// per-morsel HLL sketches exactly, so observed counts and distincts are
-/// identical to the serial path (see DESIGN.md "Parallel runtime").
+/// Each data pass — scan, join build and probe, cross product, Σ — is
+/// written once, as a range body (exec/pass.h): it runs once per shard
+/// under the shard supervisor when the context is sharded, else once per
+/// morsel on the context's pool (as one inline range without one).
+/// Range-local outputs commit on success and merge in range order, and Σ
+/// merges per-range HLL sketches exactly, so rows, observed counts and
+/// distincts are the same in every configuration (DESIGN.md §6).
 ///
 /// When the store's UdfColumnCache is enabled, leaf residual filters,
-/// hash-join key build/probe, sort-merge key extraction, and the Σ HLL
-/// pass all read evaluate-once cached columns instead of calling
-/// BoundTerm::Eval per row; rows, counts, distincts and both accounting
-/// counters are bit-identical either way (DESIGN.md "UDF evaluation
-/// cache").
+/// hash-join key build/probe and the Σ HLL pass all read evaluate-once
+/// cached columns instead of calling BoundTerm::Eval per row; rows,
+/// counts, distincts and both accounting counters are bit-identical either
+/// way (DESIGN.md "UDF evaluation cache").
 class Executor {
  public:
-  /// Physical join algorithm for equi predicates. The paper leaves
-  /// physical optimization to future work; both implementations are
-  /// provided so the choice can be ablated (bench_micro compares them).
-  /// Joins with no separable equi predicate always run as filtered cross
-  /// products regardless of this setting.
-  enum class JoinAlgorithm {
-    kHash,       // build/probe on the composite key hash (default)
-    kSortMerge,  // sort both inputs by key, merge matching runs
-  };
-
-  struct Options {
-    int hll_precision = 14;
-    JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
-  };
-
   Executor(const QuerySpec& query, const UdfRegistry* registry)
-      : Executor(query, registry, Options()) {}
-  Executor(const QuerySpec& query, const UdfRegistry* registry, Options options);
+      : query_(query), registry_(registry) {}
 
   /// Executes `plan`, charging `ctx`. On success the output expression is
   /// also Put() into `store`.
@@ -111,7 +97,6 @@ class Executor {
 
   const QuerySpec& query_;
   const UdfRegistry* registry_;
-  Options options_;
 };
 
 }  // namespace monsoon

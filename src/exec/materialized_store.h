@@ -59,8 +59,9 @@ class MaterializedStore {
 
   /// Replaces the per-store cache with a shared one (the server installs a
   /// cross-session cache here). Safe across queries: entries are keyed by
-  /// exact Table identity, so a colliding signature from another query is
-  /// detected as stale and rebuilt rather than served.
+  /// the bound term's function and argument columns, never by a query's
+  /// own term numbering, and each is checked against the exact Table it
+  /// indexes, so another query's column is never served.
   void SetUdfCache(std::shared_ptr<UdfColumnCache> cache) {
     if (cache != nullptr) udf_cache_ = std::move(cache);
   }

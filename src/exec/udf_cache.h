@@ -63,7 +63,7 @@ class CachedUdfColumn {
   /// read the precomputed hash column; numerics mix inline.
   uint64_t HashAt(size_t row) const { return View().HashAt(row); }
 
-  /// Boxes the row's result (sort-merge key extraction only).
+  /// Boxes the row's result.
   Value ValueAt(size_t row) const { return View().ValueAt(row); }
 
   /// result(row) == v, matching Value::operator== (false across types).
@@ -102,9 +102,13 @@ class CachedUdfColumn {
 
 using CachedUdfColumnPtr = std::shared_ptr<const CachedUdfColumn>;
 
-/// Evaluate-once cache of bound UDF terms, one per MaterializedStore,
-/// keyed by (ExprSig, term_id). The first operator to touch a term over an
-/// expression pays one UDF pass (morsel-parallel when a pool is supplied);
+/// Evaluate-once cache of bound UDF terms, one per MaterializedStore (or
+/// shared across sessions), keyed by the expression's signature plus the
+/// bound term's identity — its UdfFunction and argument columns, never a
+/// query's own term numbering, so a shared cache cannot serve one query's
+/// column for another query's different term over the same base table.
+/// The first operator to touch a term over an expression pays one UDF
+/// pass (morsel-parallel when a pool is supplied);
 /// every later scan, join build/probe, or Σ pass over the same expression
 /// reads the flat column instead of calling BoundTerm::Eval per row.
 ///
@@ -148,15 +152,15 @@ class UdfColumnCache {
   /// disables). Tests use this to pin cache-on/off configurations.
   void set_byte_budget(size_t bytes);
 
-  /// The cached column for `term_id` over the expression `sig`
-  /// materialized as `table`, building it with `bound` on a miss (filled
+  /// The cached column of `bound` over the expression `sig`
+  /// materialized as `table`, building it on a miss (filled
   /// via pool-parallel morsels when `pool` != nullptr, polling `token`
   /// at morsel boundaries when one is supplied). Returns nullptr when the
   /// cache is disabled. Errors if the UDF's declared result type disagrees
   /// with a produced value, on an injected exec.udf_cache.fill fault, or
   /// on cancellation; a failed fill publishes nothing — the partial
   /// column is discarded and the entry stays absent.
-  StatusOr<CachedUdfColumnPtr> GetOrBuild(const ExprSig& sig, int term_id,
+  StatusOr<CachedUdfColumnPtr> GetOrBuild(const ExprSig& sig,
                                           const BoundTerm& bound,
                                           const TablePtr& table,
                                           parallel::ThreadPool* pool,
@@ -166,7 +170,7 @@ class UdfColumnCache {
   /// Shard-scoped variant: the column for rows [begin, end) of `table`,
   /// stored at LOCAL indexes (slot row - begin), so per-shard operators
   /// index it with their shard-relative offsets. Keyed by the shard's row
-  /// range on top of (sig, term_id) — a whole-table column is simply the
+  /// range on top of (sig, term) — a whole-table column is simply the
   /// range [0, num_rows), so shard keys never collide with whole-column
   /// keys across shard counts. Fills serially (callers are shard bodies
   /// already running as pool tasks), polling `token` per row and firing
@@ -174,7 +178,7 @@ class UdfColumnCache {
   /// failure site is identical to the unsharded fill. A failed fill
   /// publishes nothing.
   StatusOr<CachedUdfColumnPtr> GetOrBuildShard(
-      const ExprSig& sig, int term_id, const BoundTerm& bound,
+      const ExprSig& sig, const BoundTerm& bound,
       const TablePtr& table, size_t begin, size_t end,
       fault::CancellationToken* token = nullptr);
 
@@ -190,9 +194,16 @@ class UdfColumnCache {
   }
 
  private:
-  // (rels, preds, term_id, row_begin, row_end): one bound term over one
-  // row range of one expression. Whole columns use [0, num_rows).
-  using Key = std::tuple<uint64_t, uint64_t, int, size_t, size_t>;
+  // (rels, preds, function, argument columns, row_begin, row_end): one
+  // bound term over one row range of one expression. Whole columns use
+  // [0, num_rows).
+  using Key = std::tuple<uint64_t, uint64_t, const UdfFunction*,
+                         std::vector<size_t>, size_t, size_t>;
+  static Key MakeKey(const ExprSig& sig, const BoundTerm& bound, size_t begin,
+                     size_t end) {
+    return Key{sig.rels, sig.preds, bound.function(), bound.arg_cols(),
+               begin, end};
+  }
 
   struct Entry {
     std::weak_ptr<const Table> table;  // the exact table the column indexes

@@ -18,11 +18,11 @@ namespace monsoon::server {
 ///
 ///  - one UdfColumnCache installed into every session's MaterializedStore,
 ///    so a UDF column evaluated for one query is a hit for the next query
-///    touching the same base table. The cache is internally synchronized
-///    and validates entries against exact Table identity, so signature
-///    collisions between different queries are detected as stale and
-///    rebuilt — sharing is a pure performance layer, never a correctness
-///    hazard.
+///    touching the same base table. The cache is internally synchronized,
+///    keys columns by the bound term's function and argument columns
+///    (never a query's own term numbering) and validates entries against
+///    exact Table identity, so sharing is a pure performance layer, never
+///    a correctness hazard.
 ///  - a statistics memo: the hardened StatsStore S of each successful run,
 ///    keyed by the query's fingerprint (QuerySpec::ToString — ExprSig
 ///    relation indices are query-relative, so stats are only reusable

@@ -8,6 +8,10 @@
 
 namespace monsoon {
 
+/// Precision of every Σ distinct-count sketch (Monsoon's Σ operator and
+/// the On-Demand baseline): 2^14 registers, ~0.8% relative standard error.
+inline constexpr int kSigmaHllPrecision = 14;
+
 /// HyperLogLog distinct-value sketch (Flajolet et al., with the small-range
 /// linear-counting correction from Heule et al.'s HLL++ [22]). This is the
 /// sketch Monsoon's Σ operator and the On-Demand baseline use to count

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -204,6 +205,55 @@ TEST_F(ExecutorTest, WorkBudgetAborts) {
   EXPECT_GT(ctx.work_units(), 50u);
 }
 
+// A hash join and a cross product that exhaust the work budget mid-pass.
+// Run inline (no pool, one shard) the trip lands on exactly the unit where
+// charging every probe row, hash candidate and cross pair one at a time
+// trips: scans 45 + 45 and the build's 45 leave 15 probe units of the 150
+// budget, and scans 10 + 10 leave 40 pairs of the 60. Every configuration
+// of threads and shards trips with the same status in the same operator,
+// so the cost-model objects charged before the trip agree too.
+TEST_F(ExecutorTest, BudgetTripsAgreeAcrossThreadsAndShards) {
+  struct Case {
+    const char* sql;
+    uint64_t budget;
+    uint64_t inline_work_units;
+  };
+  parallel::ThreadPool pool(4);
+  for (const Case& c :
+       {Case{"SELECT * FROM orders a, orders b WHERE a.amount = b.amount", 150,
+             151},
+        Case{"SELECT * FROM customers a, customers b WHERE a.id <> b.id", 60,
+             61}}) {
+    SCOPED_TRACE(c.sql);
+    auto query = Parse(c.sql);
+    ASSERT_TRUE(query.ok());
+    PlanNode::Ptr plan =
+        PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), {0});
+    uint64_t inline_objects = 0;
+    for (parallel::ThreadPool* threads :
+         std::initializer_list<parallel::ThreadPool*>{nullptr, &pool}) {
+      for (size_t shards : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(std::string(threads == nullptr ? "threads=1" : "threads=4") +
+                     " shards=" + std::to_string(shards));
+        auto store = MaterializedStore::ForQuery(catalog_, *query);
+        ASSERT_TRUE(store.ok());
+        Executor executor(*query, &UdfRegistry::Global());
+        ExecContext ctx(c.budget);
+        ctx.SetParallel(threads, /*morsel_size=*/8);
+        ctx.SetShards(shards);
+        auto result = executor.Execute(plan, &*store, &ctx);
+        EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+        if (threads == nullptr && shards == 1) {
+          EXPECT_EQ(ctx.work_units(), c.inline_work_units);
+          inline_objects = ctx.objects_processed();
+        } else {
+          EXPECT_EQ(ctx.objects_processed(), inline_objects);
+        }
+      }
+    }
+  }
+}
+
 TEST_F(ExecutorTest, LeafPassThroughSharesTable) {
   auto query = Parse("SELECT * FROM customers c, orders o WHERE c.id = o.cust");
   ASSERT_TRUE(query.ok());
@@ -239,11 +289,14 @@ TEST_F(ExecutorTest, BindFailsOnUnknownColumn) {
             StatusCode::kNotFound);
 }
 
-// Sort-merge join must agree with hash join on every query shape.
-class SortMergeJoinTest : public ExecutorTest,
-                          public ::testing::WithParamInterface<const char*> {};
+// The hash join must agree with a nested-loop evaluation computed here, on
+// every query shape: a single key, a composite key, a '<>' residual on top
+// of an equi key, a self-join with duplicate keys, and a cross-type key
+// (string = int never matches).
+class JoinShapeTest : public ExecutorTest,
+                      public ::testing::WithParamInterface<const char*> {};
 
-TEST_P(SortMergeJoinTest, MatchesHashJoin) {
+TEST_P(JoinShapeTest, HashJoinMatchesNestedLoop) {
   auto query = Parse(GetParam());
   ASSERT_TRUE(query.ok()) << GetParam();
   std::vector<int> all_preds;
@@ -252,29 +305,48 @@ TEST_P(SortMergeJoinTest, MatchesHashJoin) {
   }
   PlanNode::Ptr plan =
       PlanNode::Join(MakeLeaf(*query, 0), MakeLeaf(*query, 1), all_preds);
+  auto store = MaterializedStore::ForQuery(catalog_, *query);
+  ASSERT_TRUE(store.ok());
 
-  uint64_t rows[2];
-  uint64_t objects[2];
-  int i = 0;
-  for (Executor::JoinAlgorithm algorithm :
-       {Executor::JoinAlgorithm::kHash, Executor::JoinAlgorithm::kSortMerge}) {
-    Executor::Options options;
-    options.join_algorithm = algorithm;
-    Executor executor(*query, &UdfRegistry::Global(), options);
-    auto store = MaterializedStore::ForQuery(catalog_, *query);
-    ExecContext ctx;
-    auto result = executor.Execute(plan, &*store, &ctx);
-    ASSERT_TRUE(result.ok());
-    rows[i] = result->output.table->num_rows();
-    objects[i] = ctx.objects_processed();
-    ++i;
+  // Reference: every pair of base rows, concatenated, kept when every join
+  // predicate holds under per-row Value comparison.
+  auto left = store->Lookup(ExprSig::Of(RelSet::Single(0), 0));
+  auto right = store->Lookup(ExprSig::Of(RelSet::Single(1), 0));
+  ASSERT_TRUE(left.ok() && right.ok());
+  const Table& lt = *(*left)->table;
+  const Table& rt = *(*right)->table;
+  Schema schema = Schema::Concat((*left)->schema, (*right)->schema);
+  Table pairs(schema);
+  for (size_t li = 0; li < lt.num_rows(); ++li) {
+    for (size_t ri = 0; ri < rt.num_rows(); ++ri) {
+      pairs.AppendConcatRow(lt, li, rt, ri);
+    }
   }
-  EXPECT_EQ(rows[0], rows[1]) << GetParam();
-  EXPECT_EQ(objects[0], objects[1]) << "cost-model objects are plan properties";
+  std::vector<bool> keep(pairs.num_rows(), true);
+  for (int pred_id : all_preds) {
+    const Predicate& pred = query->predicate(pred_id);
+    auto l = BoundTerm::Bind(pred.left, schema, UdfRegistry::Global());
+    auto r = BoundTerm::Bind(*pred.right, schema, UdfRegistry::Global());
+    ASSERT_TRUE(l.ok() && r.ok());
+    for (size_t row = 0; row < pairs.num_rows(); ++row) {
+      bool equal = l->Eval(pairs, row) == r->Eval(pairs, row);
+      if (equal != pred.equality) keep[row] = false;
+    }
+  }
+  const uint64_t expected_rows = std::count(keep.begin(), keep.end(), true);
+
+  Executor executor(*query, &UdfRegistry::Global());
+  ExecContext ctx;
+  auto result = executor.Execute(plan, &*store, &ctx);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->output.table->num_rows(), expected_rows) << GetParam();
+  // Sec. 4.4: both scans plus the join's output.
+  EXPECT_EQ(ctx.objects_processed(),
+            lt.num_rows() + rt.num_rows() + expected_rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Queries, SortMergeJoinTest,
+    Queries, JoinShapeTest,
     ::testing::Values(
         "SELECT * FROM customers c, orders o WHERE c.id = o.cust",
         "SELECT * FROM customers a, customers b WHERE a.id = b.id "
